@@ -43,7 +43,6 @@ from repro.storage.database import Database
 from repro.storage.partition import (
     DEFAULT_MORSEL_ROWS,
     MIN_PARALLEL_ROWS,
-    AdaptiveMorselSizer,
     morsel_ranges,
 )
 from repro.storage.zonemaps import (
@@ -123,21 +122,12 @@ class Executor:
         probing, and large column gathers — runs per-morsel on the
         shared worker pool; build sides (hash tables, filters) are
         built once and shared immutably, so probes are lock-free.
+        Every region runs through one range runner
+        (:meth:`_run_ranges`); a region too small for the pool runs its
+        ranges inline.
     morsel_rows:
-        Target rows per morsel when splitting relations for the pool.
-    adaptive_morsels:
-        Resize morsels mid-pipeline from observed per-morsel wall time
-        and selectivity (see
-        :class:`~repro.storage.partition.AdaptiveMorselSizer`): each
-        parallel region's first few morsels run at ``morsel_rows``, and
-        the remaining rows are re-split — small morsels for selective,
-        skew-prone pipelines, large ones for cheap scans.  Applies to
-        regions over intermediate relations (bitvector applications,
-        hash-join probes); base-table scans keep the configured shape
-        so zone maps stay aligned with the dispatched ranges.  Sizing
-        moves range boundaries only, never which rows a region covers,
-        so output is byte-identical either way.  Ignored (no effect)
-        at ``parallelism=1``.
+        Target rows per morsel when splitting relations for the pool —
+        the one morsel-sizing input.
     zone_maps:
         Consult per-morsel min/max synopses (see
         :mod:`repro.storage.zonemaps`) before dispatching morsel work:
@@ -159,7 +149,6 @@ class Executor:
         eager_materialization: bool = False,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        adaptive_morsels: bool = True,
         zone_maps: bool = True,
     ) -> None:
         self._database = database
@@ -175,7 +164,6 @@ class Executor:
         # The eager baseline exists to reproduce the seed engine, so it
         # never takes a parallel path and never prunes.
         self._parallel = self._parallelism > 1 and not self._eager
-        self._adaptive_morsels = bool(adaptive_morsels) and self._parallel
         self._zone_maps = bool(zone_maps) and not self._eager
 
     @property
@@ -185,10 +173,6 @@ class Executor:
     @property
     def morsel_rows(self) -> int:
         return self._morsel_rows
-
-    @property
-    def adaptive_morsels(self) -> bool:
-        return self._adaptive_morsels
 
     @property
     def zone_maps(self) -> bool:
@@ -264,11 +248,6 @@ class Executor:
     ) -> ExecutionResult:
         if metrics.context is not None:
             metrics.context.check()
-        if self._adaptive_morsels:
-            # One sizer per execution (pipeline): observations from this
-            # plan's morsels resize only this plan's later regions, and
-            # concurrent executions of one executor never share state.
-            metrics.morsel_sizer = AdaptiveMorselSizer(self._morsel_rows)
         filters: dict[int, BitvectorFilter] = {}
         overrides = predicate_overrides or {}
         needed = _needed_columns(plan, overrides)
@@ -395,40 +374,63 @@ class Executor:
     # Morsel parallelism
     # ------------------------------------------------------------------
 
-    def _ranges(self, num_rows: int) -> list[tuple[int, int]] | None:
-        """Morsel ranges for a parallel region, or None to stay serial."""
-        if not self._parallel or num_rows < _MIN_PARALLEL_ROWS:
+    def _pool_split(self, num_rows: int) -> list[tuple[int, int]] | None:
+        """The full morsel split of a ``num_rows``-row relation, or None
+        when :meth:`_pooled` would not send it to the pool (the caller
+        then keeps its whole-relation serial kernel)."""
+        if not self._parallel:
             return None
         ranges = morsel_ranges(
             num_rows, self._morsel_rows, min_morsels=self._parallelism
         )
-        return ranges if len(ranges) >= 2 else None
+        return ranges if self._pooled(ranges) else None
 
-    def _map_morsels(self, metrics: ExecutionMetrics,
-                     ranges: list[tuple[int, int]], fn,
-                     sizer: AdaptiveMorselSizer | None = None,
-                     out_rows=None) -> list:
-        """Run ``fn(start, stop, worker_metrics)`` per morsel (barrier).
+    def _pooled(self, ranges: list[tuple[int, int]]) -> bool:
+        """Whether :meth:`_run_ranges` sends ``ranges`` to the pool:
+        parallel, at least two ranges, and enough rows to pay for the
+        dispatch."""
+        return (
+            self._parallel
+            and len(ranges) >= 2
+            and sum(stop - start for start, stop in ranges)
+            >= _MIN_PARALLEL_ROWS
+        )
 
-        Results come back in morsel order, so concatenating them
-        reproduces the serial row order exactly.  Each worker gets a
-        private :class:`ExecutionMetrics`; the flat counters are merged
-        into ``metrics`` after the barrier.
+    def _run_ranges(self, metrics: ExecutionMetrics, relation: Relation,
+                    ranges: list[tuple[int, int]], fn) -> list:
+        """``fn(view, start)`` per row range of ``relation`` (barrier).
 
-        With a ``sizer``, each task is wall-clocked on its worker and
-        the observations (rows in, seconds, ``out_rows(result)``
-        surviving rows) are folded into the sizer on the main thread
-        after the barrier — the feedback adaptive sizing runs on.
+        The one morsel runner.  ``ranges`` are the full split
+        (:meth:`_pool_split`), the base-table shape zone maps are keyed by
+        (:meth:`_table_ranges`), or the morsels zone maps kept; ``view``
+        is the zero-copy range view of ``[start, stop)``.  Results come
+        back in range order, so concatenating them reproduces the
+        whole-relation computation exactly.  When :meth:`_pooled` says
+        no, the ranges run inline, in order, on this thread.
 
-        With an armed :class:`~repro.engine.context.ExecutionContext`
-        (captured from ``metrics`` — worker metrics stay bare), every
-        task checks the deadline/cancel token before touching its
-        morsel, the region's cancel token short-circuits siblings after
-        the first failure, and non-policy worker exceptions are wrapped
-        as :class:`~repro.errors.MorselTaskError` with the query name
-        and the morsel's row range.  The budget is re-checked against
-        the merged counters after the barrier.
+        On the pool each task gets a private :class:`ExecutionMetrics`
+        whose flat counters are merged into ``metrics`` after the
+        barrier.  With an armed :class:`~repro.engine.context.
+        ExecutionContext` (captured from ``metrics`` — worker metrics
+        stay bare), every task checks the deadline/cancel token before
+        touching its morsel, the region's cancel token short-circuits
+        siblings after the first failure, and non-policy worker
+        exceptions are wrapped as :class:`~repro.errors.MorselTaskError`
+        with the query name and the morsel's row range.  The budget is
+        re-checked against the merged counters after the barrier.
         """
+        # Decode bitmap selections once, on this thread: every range
+        # view slices one shared positions array.
+        relation.settle_selections()
+        if not self._pooled(ranges):
+            return [
+                fn(relation.range_view(start, stop, counters=metrics), start)
+                for start, stop in ranges
+            ]
+
+        def task(start: int, stop: int, worker: ExecutionMetrics):
+            return fn(relation.range_view(start, stop, counters=worker), start)
+
         workers = [ExecutionMetrics() for _ in ranges]
         context = metrics.context
         tracer = metrics.tracer
@@ -438,12 +440,12 @@ class Executor:
             # (or filter-build) span that fanned the region out.
             parent = tracer.current_span_id()
 
-            def fn(start: int, stop: int, worker: ExecutionMetrics,
-                   _fn=fn, _parent=parent):
+            def task(start: int, stop: int, worker: ExecutionMetrics,
+                     _task=task, _parent=parent):
                 with tracer.span(
                     "morsel", parent=_parent, rows_in=stop - start
                 ) as span:
-                    result = _fn(start, stop, worker)
+                    result = _task(start, stop, worker)
                     rows = _result_rows(result)
                     if rows is not None:
                         span.set(rows_out=rows)
@@ -453,82 +455,31 @@ class Executor:
                             rows_skipped=worker.rows_skipped,
                         )
                 return result
-        if sizer is None:
-            inner = fn
-        else:
-            def inner(start: int, stop: int, worker: ExecutionMetrics):
-                began = time.perf_counter()
-                result = fn(start, stop, worker)
-                return result, time.perf_counter() - began
 
-        tasks = [
-            _morsel_task(inner, start, stop, worker, context)
-            for (start, stop), worker in zip(ranges, workers)
-        ]
         results = run_morsel_tasks(
-            self._parallelism, tasks,
+            self._parallelism,
+            [
+                _morsel_task(task, start, stop, worker, context)
+                for (start, stop), worker in zip(ranges, workers)
+            ],
             cancel_token=None if context is None else context.cancel_token,
         )
-        if sizer is not None:
-            unwrapped = []
-            for (start, stop), (result, seconds) in zip(ranges, results):
-                sizer.observe(
-                    stop - start, seconds,
-                    out_rows(result) if out_rows is not None else None,
-                )
-                unwrapped.append(result)
-            results = unwrapped
         for worker in workers:
             metrics.merge_counters(worker)
         if context is not None:
             context.checkpoint(metrics)
         return results
 
-    def _adaptive_map(self, metrics: ExecutionMetrics, num_rows: int,
-                      task, out_rows=None) -> list | None:
-        """Morsel-map ``task`` over ``[0, num_rows)``, or None (serial).
+    def _select(self, metrics: ExecutionMetrics, relation: Relation,
+                ranges: list[tuple[int, int]], mask_fn) -> Relation:
+        """``relation`` filtered by ``mask_fn(view)`` over ``ranges``.
 
-        The adaptive-sizing dispatcher for regions over *intermediate*
-        relations: when the execution carries a morsel sizer and it is
-        not yet calibrated, the first few morsels run at the configured
-        ``morsel_rows`` and the remaining rows are re-split at the size
-        their observations propose; calibrated regions split at the
-        proposal outright.  Ranges always cover ``[0, num_rows)`` in
-        order regardless of sizing, so concatenated results equal the
-        statically-sized (and the serial) computation byte for byte.
+        Rows outside ``ranges`` (zone-pruned morsels) are dropped; the
+        concatenated per-range ``flatnonzero`` offsets equal the serial
+        whole-relation selection, so the result is byte-identical.
         """
-        if not self._parallel or num_rows < _MIN_PARALLEL_ROWS:
-            return None
-        sizer = metrics.morsel_sizer
-        target = sizer.morsel_rows() if sizer is not None else self._morsel_rows
-        ranges = morsel_ranges(num_rows, target, min_morsels=self._parallelism)
-        if len(ranges) < 2:
-            return None
-        if sizer is None or sizer.calibrated:
-            return self._map_morsels(
-                metrics, ranges, task, sizer=sizer, out_rows=out_rows
-            )
-        # Calibration phase: enough morsels to feed every worker once,
-        # then resize the remainder from what they observed.
-        head = ranges[: max(self._parallelism, sizer.sample_morsels)]
-        results = self._map_morsels(
-            metrics, head, task, sizer=sizer, out_rows=out_rows
-        )
-        rest_start = head[-1][1]
-        if rest_start < num_rows:
-            rest = [
-                (start + rest_start, stop + rest_start)
-                for start, stop in morsel_ranges(
-                    num_rows - rest_start, sizer.morsel_rows(),
-                    min_morsels=self._parallelism,
-                )
-            ]
-            results.extend(
-                self._map_morsels(
-                    metrics, rest, task, sizer=sizer, out_rows=out_rows
-                )
-            )
-        return results
+        parts = self._run_ranges(metrics, relation, ranges, _survivors(mask_fn))
+        return self._settle(relation.select_sorted(_concat_offsets(parts)))
 
     def _parallel_gather(self, base: np.ndarray, selection,
                          cancel_token=None) -> np.ndarray | None:
@@ -539,7 +490,7 @@ class Executor:
         plain dtypes).  Returns None when the gather is too small to be
         worth dispatching, letting :class:`Relation` gather inline.
         """
-        ranges = self._ranges(len(selection))
+        ranges = self._pool_split(len(selection))
         if ranges is None:
             return None
         out = np.empty(len(selection), dtype=base.dtype)
@@ -572,57 +523,13 @@ class Executor:
             base, selection, token
         )
 
-    def _scan_ranges(self, table) -> list[tuple[int, int]] | None:
-        """Morsels of a base table, via the storage-layer partitioning
-        (cached on the immutable table) rather than an ad-hoc split.
-        Delegates to :meth:`_table_ranges` — the same shape zone maps
-        are keyed by, which the pruning soundness argument relies on."""
-        if not self._parallel or table.num_rows < _MIN_PARALLEL_ROWS:
-            return None
-        ranges = self._table_ranges(table)
-        if len(ranges) < 2:
-            return None
-        return ranges
-
-    def _parallel_selection(self, relation: Relation,
-                            metrics: ExecutionMetrics, mask_fn,
-                            ranges: list[tuple[int, int]] | None = None,
-                            ) -> np.ndarray | None:
-        """Surviving-row selection computed per morsel, or None (serial).
-
-        ``mask_fn(view)`` returns the boolean keep-mask of one morsel
-        view; the concatenated ``flatnonzero`` offsets equal the serial
-        ``np.flatnonzero(mask)`` over the whole relation, so the
-        resulting gather is byte-identical to the serial path.
-
-        Explicit ``ranges`` (base-table scans — the shape zone maps are
-        keyed by) dispatch as given; without them the region is split by
-        the adaptive dispatcher (:meth:`_adaptive_map`).
-        """
-
-        def task(start: int, stop: int, worker: ExecutionMetrics) -> np.ndarray:
-            view = relation.range_view(start, stop, counters=worker)
-            return np.flatnonzero(mask_fn(view)) + start
-
-        # Decode bitmap selections on the main thread before fan-out:
-        # every morsel slices one shared positions array.
-        relation.settle_selections()
-        if ranges is None:
-            parts = self._adaptive_map(
-                metrics, relation.num_rows, task, out_rows=len
-            )
-            if parts is None:
-                return None
-            return np.concatenate(parts)
-        return np.concatenate(self._map_morsels(metrics, ranges, task))
-
     # ------------------------------------------------------------------
     # Zone-map pruning (see repro.storage.zonemaps)
     # ------------------------------------------------------------------
 
     def _table_ranges(self, table) -> list[tuple[int, int]]:
-        """The morsel partitioning zone maps are keyed by: the same
-        shape the parallel scan dispatches (``_scan_ranges``)."""
+        """The morsel partitioning zone maps are keyed by — also the
+        ranges an unpruned parallel scan dispatches."""
         return [
             (part.start, part.stop)
             for part in table.morsels(
@@ -638,56 +545,28 @@ class Executor:
     @staticmethod
     def _split_pruned(metrics: ExecutionMetrics,
                       ranges: list[tuple[int, int]],
-                      pruned: list[bool]) -> list[tuple[int, int]]:
-        """Account the pruned morsels into ``metrics``; return the kept."""
+                      pruned: list[bool],
+                      accepted: list[bool] | None = None,
+                      ) -> list[tuple[int, int]]:
+        """Account the zone-decided morsels into ``metrics``; return the
+        undecided ones (the ranges still to evaluate).
+
+        ``pruned`` morsels contribute no rows; ``accepted`` morsels (the
+        constant-morsel short-circuit) contribute all of theirs without
+        evaluation.  Both count their rows under ``rows_skipped``: that
+        is work the kernels never did.
+        """
         kept = []
-        pruned_count = skipped = 0
-        for row_range, flag in zip(ranges, pruned):
-            if flag:
+        pruned_count = accepted_count = skipped = 0
+        for index, row_range in enumerate(ranges):
+            if pruned[index]:
                 pruned_count += 1
-                skipped += row_range[1] - row_range[0]
+            elif accepted is not None and accepted[index]:
+                accepted_count += 1
             else:
                 kept.append(row_range)
-        metrics.morsels_pruned += pruned_count
-        metrics.rows_skipped += skipped
-        if metrics.tracer is not None and pruned_count:
-            metrics.tracer.event(
-                "zone.prune",
-                morsels_pruned=pruned_count,
-                rows_skipped=skipped,
-            )
-        return kept
-
-    def _scan_selection_with_zones(
-        self,
-        relation: Relation,
-        ranges: list[tuple[int, int]],
-        pruned: list[bool],
-        accepted: list[bool],
-        metrics: ExecutionMetrics,
-        mask_fn,
-    ) -> np.ndarray:
-        """Scan selection with zone decisions applied per morsel.
-
-        Pruned morsels contribute nothing; accepted morsels (the
-        constant-morsel short-circuit) contribute every offset without
-        evaluating the predicate — both count their rows under
-        ``rows_skipped``, because that is work the kernels never did.
-        Undecided morsels evaluate normally (on the pool when big
-        enough).  Pieces concatenate in morsel order, reproducing the
-        whole-relation ``flatnonzero`` exactly.
-        """
-        eval_ranges = []
-        pruned_count = accepted_count = skipped = 0
-        for row_range, is_pruned, is_accepted in zip(ranges, pruned, accepted):
-            if is_pruned:
-                pruned_count += 1
-                skipped += row_range[1] - row_range[0]
-            elif is_accepted:
-                accepted_count += 1
-                skipped += row_range[1] - row_range[0]
-            else:
-                eval_ranges.append(row_range)
+                continue
+            skipped += row_range[1] - row_range[0]
         metrics.morsels_pruned += pruned_count
         metrics.morsels_short_circuited += accepted_count
         metrics.rows_skipped += skipped
@@ -698,12 +577,29 @@ class Executor:
                 morsels_short_circuited=accepted_count,
                 rows_skipped=skipped,
             )
+        return kept
+
+    def _scan_with_zones(
+        self,
+        relation: Relation,
+        ranges: list[tuple[int, int]],
+        pruned: list[bool],
+        accepted: list[bool],
+        metrics: ExecutionMetrics,
+        mask_fn,
+    ) -> Relation:
+        """Scan filter with zone decisions applied per morsel.
+
+        Pruned morsels contribute nothing and accepted morsels every
+        row, neither evaluating the predicate; undecided morsels go
+        through the range runner.  Pieces concatenate in morsel order,
+        reproducing the whole-relation ``flatnonzero`` exactly.
+        """
+        eval_ranges = self._split_pruned(metrics, ranges, pruned, accepted)
         evaluated = iter(
-            self._selection_parts_over_ranges(
-                relation, eval_ranges, metrics, mask_fn
+            self._run_ranges(
+                metrics, relation, eval_ranges, _survivors(mask_fn)
             )
-            if eval_ranges
-            else ()
         )
         pieces: list[np.ndarray] = []
         for (start, stop), is_pruned, is_accepted in zip(
@@ -715,47 +611,7 @@ class Executor:
                 pieces.append(np.arange(start, stop, dtype=np.int64))
             else:
                 pieces.append(next(evaluated))
-        if not pieces:
-            return np.array([], dtype=np.int64)
-        return np.concatenate(pieces)
-
-    def _selection_over_ranges(self, relation: Relation,
-                               ranges: list[tuple[int, int]],
-                               metrics: ExecutionMetrics,
-                               mask_fn) -> np.ndarray:
-        """Surviving-row selection evaluated over the kept morsels only.
-
-        The pruned counterpart of :meth:`_parallel_selection`: morsels
-        absent from ``ranges`` were proven empty, so concatenating the
-        kept morsels' offsets still reproduces the serial whole-relation
-        ``flatnonzero`` exactly.  Dispatches to the pool when the kept
-        work is big enough, else evaluates inline (also the serial
-        executor's path — pruning works at any parallelism).
-        """
-        if not ranges:
-            return np.array([], dtype=np.int64)
-        return np.concatenate(
-            self._selection_parts_over_ranges(relation, ranges, metrics, mask_fn)
-        )
-
-    def _selection_parts_over_ranges(self, relation: Relation,
-                                     ranges: list[tuple[int, int]],
-                                     metrics: ExecutionMetrics,
-                                     mask_fn) -> list[np.ndarray]:
-        """Per-range surviving-row offsets, in range order (the body of
-        :meth:`_selection_over_ranges`, exposed so the constant-morsel
-        short-circuit can interleave unevaluated ranges)."""
-
-        def task(start: int, stop: int,
-                 worker: ExecutionMetrics) -> np.ndarray:
-            view = relation.range_view(start, stop, counters=worker)
-            return np.flatnonzero(mask_fn(view)) + start
-
-        total = sum(stop - start for start, stop in ranges)
-        if self._parallel and len(ranges) >= 2 and total >= _MIN_PARALLEL_ROWS:
-            relation.settle_selections()
-            return self._map_morsels(metrics, ranges, task)
-        return [task(start, stop, metrics) for start, stop in ranges]
+        return self._settle(relation.select_sorted(_concat_offsets(pieces)))
 
     def _scan_zone_pruning(
         self, alias: str, table, predicate
@@ -997,47 +853,35 @@ class Executor:
             columns.append(build_rel.column(alias, column))
         return compute_key_bounds(columns)
 
-    def _morsel_probe_match(
+    def _probe_ranges(
         self,
         context,
         probe_rel: Relation,
-        kept_ranges: list[tuple[int, int]],
+        ranges: list[tuple[int, int]],
         metrics: ExecutionMetrics,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Hash-join probe over the kept morsels only.
+        """Hash-join probe of ``probe_rel`` over ``ranges``.
 
-        The pruned counterpart of :meth:`_parallel_probe_match`:
-        skipped morsels were proven matchless, so concatenating the
-        kept morsels' match pairs (probe offsets rebased per morsel)
-        reproduces the whole-relation probe order exactly.  Runs inline
-        when serial or when too little work survives pruning.
+        The build side is encoded and sorted once on the main thread
+        (single-build-then-shared); each range encodes its slice of the
+        probe keys through the table-resident dictionaries and matches
+        against the shared immutable build structures.  Morsels absent
+        from ``ranges`` were proven matchless by zone maps, so the match
+        pairs (probe offsets rebased per range) concatenate to the
+        whole-relation probe order exactly.  Requires the dictionary
+        fast path — joint factorization needs both whole sides at once.
         """
-        empty = np.array([], dtype=np.int64)
-        if not kept_ranges:
-            return empty, empty
         build_combined, encode_probe, domain = context
         matcher = _BuildMatcher(build_combined, domain)
 
-        def task(start: int, stop: int, worker: ExecutionMetrics):
-            view = probe_rel.range_view(start, stop, counters=worker)
+        def match(view: Relation, start: int):
             build_idx, probe_idx = matcher.match(encode_probe(view))
             return build_idx, probe_idx + start
 
-        total = sum(stop - start for start, stop in kept_ranges)
-        if (
-            self._parallel
-            and len(kept_ranges) >= 2
-            and total >= _MIN_PARALLEL_ROWS
-        ):
-            probe_rel.settle_selections()
-            parts = self._map_morsels(metrics, kept_ranges, task)
-        else:
-            parts = [
-                task(start, stop, metrics) for start, stop in kept_ranges
-            ]
+        parts = self._run_ranges(metrics, probe_rel, ranges, match)
         return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
+            _concat_offsets([part[0] for part in parts]),
+            _concat_offsets([part[1] for part in parts]),
         )
 
     # ------------------------------------------------------------------
@@ -1091,18 +935,13 @@ class Executor:
                 # undecided morsels, keep accepted morsels whole, and
                 # interleave everything in morsel order — exactly the
                 # unpruned selection.
-                ranges, pruned, accepted = pruning
-                selection = self._scan_selection_with_zones(
-                    relation, ranges, pruned, accepted, metrics, mask_fn
+                relation = self._scan_with_zones(
+                    relation, *pruning, metrics, mask_fn
                 )
-                relation = self._settle(relation.select_sorted(selection))
             else:
-                selection = self._parallel_selection(
-                    relation, metrics, mask_fn,
-                    ranges=self._scan_ranges(table),
-                )
-                if selection is not None:
-                    relation = self._settle(relation.select_sorted(selection))
+                ranges = self._table_ranges(table)
+                if self._pooled(ranges):
+                    relation = self._select(metrics, relation, ranges, mask_fn)
                 else:
                     mask = evaluate_predicate(
                         predicate, relation.provider, relation.num_rows
@@ -1180,41 +1019,28 @@ class Executor:
         probe_rel = self._run(node.probe, metrics, filters, needed, overrides)
         record.add("probe", probe_rel.num_rows)
 
-        # One shared dictionary-join context serves every path: the
-        # zone-pruned and parallel probes consume it directly, and a
-        # failed attempt hands it (possibly None) to the serial path so
-        # the build-side encoding is never computed twice.
+        # Morsel-wise probing (zone-pruned, or pooled when parallel)
+        # needs the dictionary-join context; a failed attempt hands it
+        # (None) to the whole-relation path so the build-side encoding
+        # is never computed twice.
         build_idx = probe_idx = None
         context = _UNSET
         if build_rel.num_rows and probe_rel.num_rows:
             pruning = self._join_zone_pruning(
                 node, build_rel, probe_rel, filters
             )
-            if pruning is not None:
+            ranges = self._pool_split(probe_rel.num_rows)
+            if pruning is not None or ranges is not None:
                 context = self._dictionary_join_context(
                     node, build_rel, probe_rel
                 )
                 if context is not None:
-                    ranges, pruned = pruning
-                    kept = self._split_pruned(metrics, ranges, pruned)
+                    if pruning is not None:
+                        ranges = self._split_pruned(metrics, *pruning)
                     metrics.dictionary_hits += len(node.build_keys)
-                    build_idx, probe_idx = self._morsel_probe_match(
-                        context, probe_rel, kept, metrics
+                    build_idx, probe_idx = self._probe_ranges(
+                        context, probe_rel, ranges, metrics
                     )
-            if build_idx is None and self._parallel and (
-                probe_rel.num_rows >= _MIN_PARALLEL_ROWS
-            ):
-                if context is _UNSET:
-                    context = self._dictionary_join_context(
-                        node, build_rel, probe_rel
-                    )
-                if context is not None:
-                    match = self._parallel_probe_match(
-                        context, probe_rel, metrics
-                    )
-                    if match is not None:
-                        metrics.dictionary_hits += len(node.build_keys)
-                        build_idx, probe_idx = match
         if build_idx is None:
             build_codes, probe_codes, domain = self._join_key_codes(
                 node, build_rel, probe_rel, metrics, context
@@ -1228,44 +1054,6 @@ class Executor:
         record.add("output", result.num_rows)
         record.rows_out = result.num_rows
         return result
-
-    def _parallel_probe_match(
-        self,
-        context,
-        probe_rel: Relation,
-        metrics: ExecutionMetrics,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Morsel-parallel probe of one hash join, or None (serial).
-
-        The build side is encoded and sorted once on the main thread
-        (single-build-then-shared); each morsel encodes its slice of
-        the probe keys through the table-resident dictionaries and
-        matches against the shared immutable build structures.  Morsels
-        are cut by the adaptive dispatcher (match-output counts feed
-        the sizer's selectivity signal).  Match pairs concatenate in
-        morsel order, reproducing the serial output order exactly.
-        Requires the dictionary fast path — joint factorization needs
-        both whole sides at once and stays serial.
-        """
-        build_combined, encode_probe, domain = context
-        matcher = _BuildMatcher(build_combined, domain)
-
-        def task(start: int, stop: int, worker: ExecutionMetrics):
-            view = probe_rel.range_view(start, stop, counters=worker)
-            build_idx, probe_idx = matcher.match(encode_probe(view))
-            return build_idx, probe_idx + start
-
-        probe_rel.settle_selections()
-        parts = self._adaptive_map(
-            metrics, probe_rel.num_rows, task,
-            out_rows=lambda part: len(part[1]),
-        )
-        if parts is None:
-            return None
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-        )
 
     def _join_key_codes(
         self,
@@ -1416,7 +1204,7 @@ class Executor:
         """
         self._checkpoint(metrics)
         filter_class = FILTER_KINDS.get(self._filter_kind)
-        ranges = self._ranges(build_rel.num_rows)
+        ranges = self._pool_split(build_rel.num_rows)
         if (
             ranges is not None
             and filter_class is not None
@@ -1426,9 +1214,8 @@ class Executor:
                 build_rel.num_rows, **self._filter_options
             )
 
-            def task(start: int, stop: int, worker: ExecutionMetrics):
+            def partial(view: Relation, start: int):
                 fault_point("filter.build_partition")
-                view = build_rel.range_view(start, stop, counters=worker)
                 return filter_class.build_partial(
                     [
                         view.column(alias, column)
@@ -1438,8 +1225,7 @@ class Executor:
                     **self._filter_options,
                 )
 
-            build_rel.settle_selections()
-            partials = self._map_morsels(metrics, ranges, task)
+            partials = self._run_ranges(metrics, build_rel, ranges, partial)
             metrics.filter_builds_parallel += 1
             metrics.filter_partials_built += len(partials)
             return filter_class.merge(
@@ -1546,17 +1332,16 @@ class Executor:
                 )
 
             if pending_ranges is not None:
-                selection = self._selection_over_ranges(
-                    relation, pending_ranges, metrics, mask_fn
+                relation = self._select(
+                    metrics, relation, pending_ranges, mask_fn
                 )
                 pending_ranges = None
-                relation = self._settle(relation.select_sorted(selection))
                 continue
             # Filters are immutable after construction, so per-morsel
             # probes are lock-free reads of one shared structure.
-            selection = self._parallel_selection(relation, metrics, mask_fn)
-            if selection is not None:
-                relation = self._settle(relation.select_sorted(selection))
+            ranges = self._pool_split(relation.num_rows)
+            if ranges is not None:
+                relation = self._select(metrics, relation, ranges, mask_fn)
                 continue
             key_columns = [
                 relation.column(alias, column)
@@ -1865,9 +1650,22 @@ def _result_rows(result) -> int | None:
     return None
 
 
+def _survivors(mask_fn):
+    """Range task for :meth:`Executor._run_ranges`: the offsets (in the
+    parent relation) of the view's rows that ``mask_fn`` keeps."""
+    return lambda view, start: np.flatnonzero(mask_fn(view)) + start
+
+
+def _concat_offsets(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-range int64 offset arrays joined in range order."""
+    if not parts:
+        return np.array([], dtype=np.int64)
+    return np.concatenate(parts)
+
+
 def _morsel_task(fn, start: int, stop: int, worker: ExecutionMetrics,
                  context: ExecutionContext | None):
-    """One pool task for ``_map_morsels``: hook, checkpoint, wrap.
+    """One pool task for ``_run_ranges``: hook, checkpoint, wrap.
 
     The ``"morsel.task"`` fault site fires *inside* the task body so an
     injected fault travels the exact path an organic worker failure

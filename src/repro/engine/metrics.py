@@ -4,6 +4,11 @@ Each executed plan node records the tuple counts of its cost-bearing
 components.  Metered CPU is the dot product of those counts with the
 :class:`~repro.cost.constants.CostConstants` weights — the same model
 the optimizer estimates against, evaluated on actual counts.
+
+Flat execution counters (rows copied, morsels pruned, filter builds,
+...) are declared once, in :data:`COUNTERS`; every copy of them — the
+worker merge, the service record and stats, EXPLAIN ANALYZE — is
+generated from or iterates that table.
 """
 
 from __future__ import annotations
@@ -61,74 +66,139 @@ class NodeMetrics:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class Counter:
+    """One flat execution counter, declared once in :data:`COUNTERS`.
+
+    ``merge`` is how values combine — across morsel workers
+    (:meth:`ExecutionMetrics.merge_counters`) and across queries
+    (:meth:`repro.service.metrics.ServiceStats.fold`): ``"sum"`` adds,
+    ``"last"`` keeps the newest value (a point-in-time gauge).
+    ``stats_name`` is the :class:`~repro.service.metrics.ServiceStats`
+    attribute; it defaults to ``total_<name>`` for sums.  Counters in
+    seconds (unit ``"s"``) are floats, all others ints.
+    """
+
+    name: str
+    unit: str
+    doc: str
+    merge: str = "sum"
+    stats_name: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.stats_name:
+            stats_name = (
+                f"total_{self.name}" if self.merge == "sum" else self.name
+            )
+            object.__setattr__(self, "stats_name", stats_name)
+
+    @property
+    def zero(self) -> int | float:
+        return 0.0 if self.unit == "s" else 0
+
+    def combine(self, current, value):
+        return value if self.merge == "last" else current + value
+
+    def render(self, value) -> str:
+        return f"{value:.6f}" if self.unit == "s" else str(value)
+
+
+# Every flat execution counter.  ExecutionMetrics, ServiceMetrics and
+# ServiceStats get one attribute per row, and worker merges, the
+# service record, the stats fold and EXPLAIN ANALYZE all iterate this
+# table — a new counter is one new row here.
+COUNTERS: tuple[Counter, ...] = (
+    Counter("filter_cache_hits", "filters",
+            "join filters served by the cross-query filter cache",
+            stats_name="filter_cache_hits"),
+    Counter("filter_cache_misses", "filters",
+            "cacheable join filters that had to be built",
+            stats_name="filter_cache_misses"),
+    Counter("rows_copied", "rows",
+            "rows gathered into materialized columns"),
+    Counter("bytes_gathered", "B",
+            "bytes gathered into materialized columns"),
+    Counter("dictionary_hits", "keys",
+            "join keys encoded through table-resident dictionaries",
+            stats_name="dictionary_hits"),
+    Counter("dictionary_misses", "keys",
+            "join keys that fell back to joint factorization",
+            stats_name="dictionary_misses"),
+    Counter("morsels_pruned", "morsels",
+            "morsels zone maps proved non-qualifying, skipped unread"),
+    Counter("rows_skipped", "rows",
+            "rows no kernel evaluated (pruned, short-circuited, band-searched)"),
+    Counter("morsels_short_circuited", "morsels",
+            "morsels zone maps proved all-qualifying, kept unevaluated"),
+    Counter("morsels_band_searched", "morsels",
+            "morsels answered by binary search over a sorted column"),
+    Counter("selection_bytes", "B",
+            "selection state created by row filters"),
+    Counter("selection_bytes_dense", "B",
+            "int64 positions the same selections would have held"),
+    Counter("filter_builds_parallel", "filters",
+            "filters built partition-then-merge on the morsel pool"),
+    Counter("filter_partials_built", "partials",
+            "per-morsel partial filters those builds merged"),
+    Counter("filter_build_seconds", "s",
+            "wall-clock spent building filters (cache hits excluded)"),
+    Counter("filter_bytes_resident", "B",
+            "shared filter cache footprint after the query", merge="last"),
+)
+
+
+def counter_values(source) -> dict[str, int | float]:
+    """Every declared counter of ``source``, keyed by counter name."""
+    return {counter.name: getattr(source, counter.name) for counter in COUNTERS}
+
+
+def counter_fields(stats: bool = False):
+    """Class decorator adding one zero-defaulted attribute per
+    :data:`COUNTERS` row (named ``stats_name`` when ``stats``); on a
+    dataclass, apply it beneath ``@dataclasses.dataclass`` so each
+    becomes a field."""
+
+    def add(cls):
+        for counter in COUNTERS:
+            name = counter.stats_name if stats else counter.name
+            cls.__annotations__[name] = type(counter.zero).__name__
+            setattr(cls, name, counter.zero)
+        return cls
+
+    return add
+
+
+def format_counters(source) -> list[str]:
+    """One ``name=value unit  (doc)`` line per declared counter."""
+    return [
+        f"{counter.name}={counter.render(getattr(source, counter.name))} "
+        f"{counter.unit}  ({counter.doc})"
+        for counter in COUNTERS
+    ]
+
+
+@counter_fields()
 class ExecutionMetrics:
-    """Aggregated metrics for one plan execution."""
+    """Aggregated metrics for one plan execution.
+
+    Carries one attribute per :data:`COUNTERS` row (see each row's
+    doc), plus the per-node records behind metered CPU.  The zero
+    values live on the class, so the per-query and per-morsel
+    instances cost nothing per counter to create.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[int, NodeMetrics] = {}
-        # Cross-query filter cache activity during this execution
-        # (see repro.filters.cache); zero when no cache is attached.
-        self.filter_cache_hits = 0
-        self.filter_cache_misses = 0
-        # Zero-copy accounting (see repro.engine.relation): how many
-        # rows/bytes were actually gathered into materialized columns.
-        # The eager baseline copies every column at every row-set
-        # operation; the lazy path only pays for columns that are read.
-        self.rows_copied = 0
-        self.bytes_gathered = 0
-        # Join-key encodings answered from table-resident dictionary
-        # indexes vs. falling back to per-call joint factorization.
-        self.dictionary_hits = 0
-        self.dictionary_misses = 0
-        # Zone-map data skipping (see repro.storage.zonemaps): whole
-        # morsels whose [min, max] provably cannot satisfy a predicate,
-        # pass a bitvector filter, or match any join key are dropped
-        # before any row is read.  rows_skipped counts the rows those
-        # morsels would otherwise have fed through the kernels — both
-        # the pruned ones and the constant-morsel short-circuits below.
-        self.morsels_pruned = 0
-        self.rows_skipped = 0
-        # Sorted-band fast path (see the executor's scan band search):
-        # morsels answered by binary-searching a clustered column to the
-        # predicate's value band instead of per-morsel min/max checks.
-        self.morsels_band_searched = 0
-        # Succinct selection accounting (see repro.engine.relation):
-        # bytes of selection state actually created by row-filter
-        # operations vs. what dense int64 position vectors would have
-        # held for the same survivors.  The gap is the tentpole's
-        # resident-memory win between operators.
-        self.selection_bytes = 0
-        self.selection_bytes_dense = 0
-        # Constant-morsel short-circuits: morsels whose zone map proves
-        # the scan predicate *true* for every row, kept whole without a
-        # single row-wise evaluation (their rows also land in
-        # rows_skipped: skipped work, not skipped output).
-        self.morsels_short_circuited = 0
-        # Parallel build-side accounting (see the executor's
-        # partitioned filter builds): how many filters were built via
-        # the partition-then-merge path, how many partial builds ran on
-        # the pool, and the wall-clock the build phase cost (serial
-        # builds included, cache hits excluded).
-        self.filter_builds_parallel = 0
-        self.filter_partials_built = 0
-        self.filter_build_seconds = 0.0
-        # Per-execution adaptive morsel sizer (see
-        # repro.storage.partition.AdaptiveMorselSizer), attached by the
-        # executor at the top of execute() when adaptive sizing is on.
-        # Rides on the metrics object because that is the one
-        # per-execution state threaded through every operator; worker
-        # metrics keep the default None and never resize anything.
-        self.morsel_sizer = None
         # Per-query resilience context (repro.engine.context), attached
-        # by the executor at the top of execute() — same reasoning as
-        # the sizer: the metrics object is the per-execution state every
-        # operator already sees.  None (the default, and for worker
-        # metrics) keeps every checkpoint a single None test.
+        # by the executor at the top of execute(): the metrics object is
+        # the per-execution state every operator already sees.  None
+        # (the default, and for worker metrics) keeps every checkpoint
+        # a single None test.
         self.context = None
         # Optional repro.obs.Tracer, attached by the executor when the
-        # caller opted into tracing.  Same pattern as context/sizer:
-        # every instrumented site is guarded by `metrics.tracer is not
-        # None`, so the disarmed path costs one attribute load.  Worker
+        # caller opted into tracing.  Same pattern as context: every
+        # instrumented site is guarded by `metrics.tracer is not None`,
+        # so the disarmed path costs one attribute load.  Worker
         # metrics stay None; morsel spans are opened by the task
         # wrapper with an explicit parent id instead.
         self.tracer = None
@@ -157,21 +227,12 @@ class ExecutionMetrics:
         per-node component counts are recorded by the main thread, which
         sees whole-relation row counts regardless of morsel shape.
         """
-        self.rows_copied += worker.rows_copied
-        self.bytes_gathered += worker.bytes_gathered
-        self.dictionary_hits += worker.dictionary_hits
-        self.dictionary_misses += worker.dictionary_misses
-        self.filter_cache_hits += worker.filter_cache_hits
-        self.filter_cache_misses += worker.filter_cache_misses
-        self.morsels_pruned += worker.morsels_pruned
-        self.rows_skipped += worker.rows_skipped
-        self.morsels_band_searched += worker.morsels_band_searched
-        self.selection_bytes += worker.selection_bytes
-        self.selection_bytes_dense += worker.selection_bytes_dense
-        self.morsels_short_circuited += worker.morsels_short_circuited
-        self.filter_builds_parallel += worker.filter_builds_parallel
-        self.filter_partials_built += worker.filter_partials_built
-        self.filter_build_seconds += worker.filter_build_seconds
+        for counter in COUNTERS:
+            name = counter.name
+            setattr(
+                self, name,
+                counter.combine(getattr(self, name), getattr(worker, name)),
+            )
 
     def add_wall(self, node_id: int, seconds: float) -> None:
         """Accumulate inclusive wall time on a node (tracer-armed only)."""

@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cost.constants import DEFAULT_LAMBDA_THRESH
 from repro.engine.context import ExecutionContext, ResourceBudget
 from repro.engine.executor import ExecutionResult, Executor
+from repro.engine.metrics import counter_values, format_counters
 from repro.engine.parallel import DEFAULT_MORSEL_ROWS
 from repro.engine.context import Deadline
 from repro.errors import (
@@ -105,7 +106,7 @@ class QueryService:
         LRU bounds for the two caches.
     max_workers:
         Default thread-pool width for :meth:`run_many`.
-    parallelism / morsel_rows / adaptive_morsels:
+    parallelism / morsel_rows:
         Morsel-driven intra-query parallelism, passed through to the
         :class:`~repro.engine.executor.Executor`.  The default 1 keeps
         each query on its serving thread (byte-identical to the serial
@@ -114,9 +115,8 @@ class QueryService:
         pool) parallelism compose, with the morsel pool bounded by the
         widest ``parallelism`` in the process.  At ``parallelism > 1``
         bitvector filter builds run partitioned on the pool (the plan
-        cache optimizes with the matching build-cost discount), and
-        ``adaptive_morsels`` resizes morsels per pipeline from observed
-        selectivity and wall time.
+        cache optimizes with the matching build-cost discount).
+        ``morsel_rows`` is the one morsel-sizing input.
     zone_maps:
         Morsel-level data skipping via per-column min/max synopses
         (:mod:`repro.storage.zonemaps`), on by default; pruning is
@@ -169,7 +169,6 @@ class QueryService:
         max_workers: int = 4,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        adaptive_morsels: bool = True,
         zone_maps: bool = True,
         deadline_seconds: float | None = None,
         budget: ResourceBudget | None = None,
@@ -202,7 +201,6 @@ class QueryService:
             filter_cache=self.filter_cache,
             parallelism=parallelism,
             morsel_rows=morsel_rows,
-            adaptive_morsels=adaptive_morsels,
             zone_maps=zone_maps,
         )
         # Serial fallback for degrade="serial": same database, same
@@ -396,6 +394,9 @@ class QueryService:
             )
         telemetry.record("output_rows", result.num_rows)
 
+        # Point-in-time gauge: the shared cache's footprint after this
+        # query, carried like every other counter from here on.
+        result.metrics.filter_bytes_resident = self.filter_cache.resident_bytes()
         metrics = ServiceMetrics(
             query=name,
             fingerprint=entry.fingerprint,
@@ -405,23 +406,9 @@ class QueryService:
             execute_seconds=execute_seconds,
             metered_cpu=result.metrics.metered_cpu(),
             output_rows=result.num_rows,
-            filter_cache_hits=result.metrics.filter_cache_hits,
-            filter_cache_misses=result.metrics.filter_cache_misses,
-            rows_copied=result.metrics.rows_copied,
-            bytes_gathered=result.metrics.bytes_gathered,
-            dictionary_hits=result.metrics.dictionary_hits,
-            dictionary_misses=result.metrics.dictionary_misses,
-            morsels_pruned=result.metrics.morsels_pruned,
-            rows_skipped=result.metrics.rows_skipped,
-            morsels_short_circuited=result.metrics.morsels_short_circuited,
-            morsels_band_searched=result.metrics.morsels_band_searched,
-            selection_bytes=result.metrics.selection_bytes,
-            selection_bytes_dense=result.metrics.selection_bytes_dense,
-            filter_bytes_resident=self.filter_cache.resident_bytes(),
-            filter_builds_parallel=result.metrics.filter_builds_parallel,
-            filter_build_seconds=result.metrics.filter_build_seconds,
             degraded=degraded,
             wall_seconds=time.perf_counter() - wall_started,
+            **counter_values(result.metrics),
         )
         with self._lock:
             self._stats.fold(metrics)
@@ -523,8 +510,6 @@ class QueryService:
             execute_seconds=0.0,
             metered_cpu=0.0,
             output_rows=0,
-            filter_cache_hits=0,
-            filter_cache_misses=0,
             error=f"{type(error).__name__}: {error}",
         )
         return ServiceResult(result=None, metrics=metrics, error=error)
@@ -583,8 +568,6 @@ class QueryService:
                 execute_seconds=0.0,
                 metered_cpu=0.0,
                 output_rows=0,
-                filter_cache_hits=0,
-                filter_cache_misses=0,
                 retries=attempts,
                 error=f"{type(exc).__name__}: {exc}",
                 wall_seconds=time.perf_counter() - wall_started,
@@ -689,10 +672,9 @@ class QueryService:
             f"-- parallel execution: parallelism={self._executor.parallelism} "
             f"morsel_rows={self._executor.morsel_rows}"
             + (
-                f" adaptive_morsels="
-                f"{'on' if self._executor.adaptive_morsels else 'off'} "
-                f"({stats.total_filter_builds_parallel} partitioned filter "
-                f"builds, {stats.total_filter_build_seconds * 1e3:.2f} ms "
+                f" ({stats.total_filter_builds_parallel} partitioned filter "
+                f"builds from {stats.total_filter_partials_built} partials, "
+                f"{stats.total_filter_build_seconds * 1e3:.2f} ms "
                 f"build phase)"
                 if self._executor.parallelism > 1
                 else " (serial)"
@@ -752,9 +734,10 @@ class QueryService:
         inclusive wall time, and metered CPU next to the optimizer's
         cardinality estimate — the standard EXPLAIN ANALYZE contract.
         The header summarizes the call (wall/optimize/execute split,
-        plan-cache outcome, pruning and filter-build counters) and the
-        trace (span count per name).  Tracing is armed for this call
-        only; results are byte-identical to a plain :meth:`execute`.
+        plan-cache outcome), the trace (span count per name), and every
+        declared execution counter with its unit and meaning.  Tracing
+        is armed for this call only; results are byte-identical to a
+        plain :meth:`execute`.
         """
         pipeline = pipeline or self._pipeline
         tracer = Tracer(telemetry=self.telemetry)
@@ -801,18 +784,6 @@ class QueryService:
             f"{metrics.optimize_seconds * 1e3:.2f} ms + execute "
             f"{metrics.execute_seconds * 1e3:.2f} ms; "
             f"{metrics.output_rows} rows out",
-            f"-- pruning: {metrics.morsels_pruned} morsels pruned, "
-            f"{metrics.morsels_short_circuited} short-circuited, "
-            f"{metrics.morsels_band_searched} band-searched, "
-            f"{metrics.rows_skipped} rows skipped",
-            f"-- filters: {metrics.filter_cache_hits} cache hits / "
-            f"{metrics.filter_cache_misses} misses, "
-            f"{metrics.filter_build_seconds * 1e3:.2f} ms built"
-            + (
-                f" ({metrics.filter_builds_parallel} partitioned)"
-                if metrics.filter_builds_parallel
-                else ""
-            ),
             "-- spans: "
             + (
                 ", ".join(
@@ -829,6 +800,8 @@ class QueryService:
                 f"-- morsel tasks: {len(morsels)} spanning "
                 f"{total * 1e3:.2f} ms of worker time"
             )
+        header.append("-- counters:")
+        header.extend(f"--   {line}" for line in format_counters(metrics))
         return "\n".join(header) + "\n" + format_plan(
             entry.plan, annotations=annotations
         )

@@ -13,7 +13,7 @@ Registered sites (the engine's ``fault_point(site)`` calls):
 ``"pool.submit"``         one batch submission to the shared morsel pool
                           (:func:`repro.engine.parallel.run_morsel_tasks`)
 ``"morsel.task"``         one morsel worker task, in dispatch order
-                          (:meth:`repro.engine.executor.Executor._map_morsels`)
+                          (:meth:`repro.engine.executor.Executor._run_ranges`)
 ``"filter.build_partition"``  one partition of a partitioned bitvector filter
                           build (executor fan-out and the serial
                           :meth:`~repro.filters.base.BitvectorFilter.build_partitioned`)

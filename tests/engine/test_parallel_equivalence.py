@@ -100,6 +100,43 @@ def _random_star(seed: int) -> tuple[Database, QuerySpec, list[list[str]]]:
     return database, spec, orders
 
 
+def _wide_fact(seed: int) -> tuple[Database, QuerySpec, list[list[str]]]:
+    """One dimension over a 20k-row fact: ~40 morsels per fact region
+    at ``morsel_rows=512``, so static morsel sizing is exercised on
+    many more ranges than the worker count."""
+    rng = np.random.default_rng(seed)
+    n_dim, n_fact = 400, 20_000
+    database = Database(f"wide_{seed}")
+    database.add_table(
+        Table.from_arrays(
+            "dim",
+            {"id": np.arange(n_dim), "v": rng.integers(0, 10, n_dim)},
+            key=("id",),
+        )
+    )
+    database.add_table(
+        Table.from_arrays(
+            "fact",
+            {
+                "fk": rng.integers(0, n_dim, n_fact),
+                "m": np.round(rng.normal(size=n_fact), 6),
+            },
+        )
+    )
+    database.add_foreign_key(ForeignKey("fact", ("fk",), "dim", ("id",)))
+    spec = QuerySpec(
+        name=f"w_{seed}",
+        relations=(RelationRef("f", "fact"), RelationRef("d", "dim")),
+        join_predicates=(JoinPredicate("f", ("fk",), "d", ("id",)),),
+        local_predicates={"d": Comparison("<", col("d", "v"), lit(4))},
+        aggregates=(
+            Aggregate("count", label="cnt"),
+            Aggregate("sum", col("f", "m"), label="total"),
+        ),
+    )
+    return database, spec, [["f", "d"]]
+
+
 def _relation_plans(database, spec, orders):
     graph = JoinGraph(spec, database.catalog)
     return [
@@ -115,10 +152,13 @@ def _aggregate_plans(database, spec, orders):
     ]
 
 
+@pytest.mark.parametrize(
+    "workload", [_random_star, _wide_fact], ids=["star", "wide_fact"]
+)
 @pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
 @pytest.mark.parametrize("seed", range(5))
-def test_parallel_matches_serial_byte_identical(filter_kind, seed):
-    database, spec, orders = _random_star(seed)
+def test_parallel_matches_serial_byte_identical(workload, filter_kind, seed):
+    database, spec, orders = workload(seed)
     serial = Executor(database, filter_kind=filter_kind)
     parallel = Executor(
         database, filter_kind=filter_kind, parallelism=4, morsel_rows=512

@@ -4,11 +4,11 @@ A seeded generator produces TPC-DS-shaped queries — star joins with
 random predicates, aggregates, GROUP BY / HAVING, ORDER BY ... LIMIT,
 and single-table projection top-k scans — and each query executes under
 every combination of {eager, lazy} x {parallelism 1, 4} x {zone maps
-on, off} x {adaptive morsels on, off}.  All sixteen configurations must
-return byte-identical answers: every one of these features is an
-execution strategy, never a semantics change, so any divergence is an
-executor bug.  The runs' metrics must also be sane (a configuration
-without zone maps can never report pruning).
+on, off}.  All eight configurations must return byte-identical answers:
+every one of these features is an execution strategy, never a semantics
+change, so any divergence is an executor bug.  The runs' metrics must
+also be sane (a configuration without zone maps can never report
+pruning).
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ _CONFIGS = [
         "eager_materialization": eager,
         "parallelism": parallelism,
         "zone_maps": zone_maps,
-        "adaptive_morsels": adaptive,
     }
-    for eager, parallelism, zone_maps, adaptive in itertools.product(
-        (False, True), (1, 4), (True, False), (True, False)
+    for eager, parallelism, zone_maps in itertools.product(
+        (False, True), (1, 4), (True, False)
     )
 ]
 
